@@ -9,7 +9,9 @@ explicit files passed on the command line.  Config documents are YAML
 
 from __future__ import annotations
 
+import math
 import os
+import re
 from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -62,6 +64,8 @@ def _require_int(kind: str, field: str, value: Any, minimum: int = 1) -> int:
 def _require_number(kind: str, field: str, value: Any, minimum: float = 0.0) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidValueError(field, f"{kind} field must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InvalidValueError(field, f"must be finite, got {value}")
     if value <= minimum:
         raise InvalidValueError(field, f"must be > {minimum}, got {value}")
     return float(value)
@@ -303,6 +307,21 @@ BUILTIN_QUANTS: dict[str, QuantScheme] = {
 
 # --- config document loading ------------------------------------------------
 
+class _DocumentLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 2.2e8 and 1e9.
+
+    YAML 1.1 needs a dot and a signed exponent, so it leaves `freq: 2.2e8`
+    a string; the YAML 1.2 core schema and JSON read it as a number.
+    """
+
+
+_DocumentLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def _read_document(source: Mapping[str, Any] | str | Path, kind: str) -> dict[str, Any]:
     if isinstance(source, Mapping):
         return dict(source)
@@ -312,7 +331,7 @@ def _read_document(source: Mapping[str, Any] | str | Path, kind: str) -> dict[st
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_DocumentLoader)
     except yaml.YAMLError as exc:
         raise InputError(f"cannot parse {kind} file {path}: {exc}") from exc
     if not isinstance(doc, dict):

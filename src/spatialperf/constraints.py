@@ -44,7 +44,13 @@ def _blocks(s_i: int, m_i: int, r_i: int, element_bits: int, pack: int,
     # than the device's widest port configuration.
     pack = min(pack, partitions, max(1, device.max_width // element_bits))
     word_bits = effective_width(element_bits * pack, device)
-    per_partition = ceil_div(s_i * word_bits, partitions * device.sram_block_capacity)
+    return _packed_blocks(s_i, partitions, pack, word_bits, device.sram_block_capacity)
+
+
+def _packed_blocks(s_i: int, partitions: int, pack: int, word_bits: int,
+                   block_capacity: int) -> int:
+    """_blocks once the partition count, packing and word width are settled."""
+    per_partition = ceil_div(s_i * word_bits, partitions * block_capacity)
     return per_partition * ceil_div(partitions, pack)
 
 

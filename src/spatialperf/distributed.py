@@ -8,13 +8,14 @@ spatial replication factor without inter-layer traffic.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from .catalog import DeviceSpec, ModelSpec, PhaseWorkload, QuantScheme
-from .catalog import _read_document  # shared config-document reader
+from .catalog import _read_document, _require_int  # shared document checks
 from .demand import Allocation, BufferPlan, OperatorId, ceil_div
 from .errors import InvalidValueError, MissingFieldError, UnknownFieldError
 from .estimate import Binding, LatencyEstimate, _assemble, _dominant
@@ -28,22 +29,24 @@ def parse_bandwidth(value: float | int | str) -> float:
     """Normalize a link bandwidth to bits/second.
 
     Accepts plain numbers (already bits/s) or strings with a decimal prefix
-    and a bit/byte unit, e.g. "100 Gb/s" or "12.5 GB/s".
+    and a bit/byte unit, e.g. "100 Gb/s" or "12.5 GB/s".  An infinite rate
+    models an ideal link whose all-gather takes no time; NaN is rejected.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    match = _BANDWIDTH_RE.match(str(value))
-    if not match:
+        bits = float(value)
+    else:
+        match = _BANDWIDTH_RE.match(str(value))
+        magnitude, prefix, unit = match.groups() if match else (str(value), "", "b")
         try:
-            return float(str(value))
+            bits = float(magnitude) * _PREFIX_SCALE[prefix]
         except ValueError:
             raise InvalidValueError(
                 "link_bandwidth", f"cannot parse {value!r}; expected e.g. '100 Gb/s'"
             ) from None
-    magnitude, prefix, unit = match.groups()
-    bits = float(magnitude) * _PREFIX_SCALE[prefix]
-    if unit == "B":
-        bits *= 8
+        if unit == "B":
+            bits *= 8
+    if math.isnan(bits):
+        raise InvalidValueError("link_bandwidth", f"must not be NaN, got {value!r}")
     return bits
 
 
@@ -57,18 +60,18 @@ class ParallelismPlan:
     efficiency: float = 1.0     # achievable fraction of the link's peak
 
     def __post_init__(self):
-        if self.tp_size < 1:
-            raise InvalidValueError("tp_size", f"must be >= 1, got {self.tp_size}")
-        if self.pp_size < 1:
-            raise InvalidValueError("pp_size", f"must be >= 1, got {self.pp_size}")
+        _require_int("plan", "tp_size", self.tp_size)
+        _require_int("plan", "pp_size", self.pp_size)
         object.__setattr__(self, "link_bandwidth", parse_bandwidth(self.link_bandwidth))
         if self.tp_size > 1 and self.link_bandwidth <= 0:
             raise InvalidValueError(
                 "link_bandwidth", "tensor parallelism needs a positive link bandwidth"
             )
-        if not 0 < self.efficiency <= 1:
+        # The range test also rejects NaN and infinities.
+        if (isinstance(self.efficiency, bool) or not isinstance(self.efficiency, (int, float))
+                or not 0 < self.efficiency <= 1):
             raise InvalidValueError(
-                "efficiency", f"must be in (0, 1], got {self.efficiency}"
+                "efficiency", f"must be in (0, 1], got {self.efficiency!r}"
             )
 
     def to_document(self) -> dict[str, Any]:
@@ -91,7 +94,7 @@ def load_parallelism_plan(source: Mapping[str, Any] | str | Path) -> Parallelism
             raise UnknownFieldError(key, "parallelism plan")
     if "tp_size" not in doc:
         raise MissingFieldError("tp_size", "parallelism plan")
-    if doc.get("tp_size", 1) > 1 and "efficiency" not in doc:
+    if _require_int("plan", "tp_size", doc["tp_size"]) > 1 and "efficiency" not in doc:
         raise MissingFieldError("efficiency", "parallelism plan")
     return ParallelismPlan(**doc)
 

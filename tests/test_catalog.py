@@ -194,3 +194,20 @@ class TestComputePower:
 
     def test_pack_factor_scales_linearly(self, u280, w4a8, w8a8):
         assert total_compute_power(u280, w4a8) == total_compute_power(u280, w8a8)
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("field", ["freq", "mac_per_dsp_base", "offchip_bandwidth"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_device_rejects(self, u280, field, value):
+        doc = {**u280.to_document(), field: value}
+        with pytest.raises(InvalidValueError, match="must be finite"):
+            load_device_spec(doc)
+
+    def test_yaml_reads_exponent_floats(self, tmp_path, u280):
+        doc = {**u280.to_document(), "freq": "@freq", "offchip_bandwidth": "@bw"}
+        text = yaml.safe_dump(doc).replace("'@freq'", "2.2e8").replace("'@bw'", "1e12")
+        path = tmp_path / "dev.yaml"
+        path.write_text(text)
+        spec = load_device_spec(path)
+        assert (spec.freq, spec.offchip_bandwidth) == (2.2e8, 1e12)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -289,3 +290,34 @@ class TestCompare:
                                "--devices", "u280", "--m-limit", "5000")
         assert code == 0
         assert "1473" in out
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("extra", [
+        ("--freq", "nan"),
+        ("--freq", "inf"),
+        ("--tp", "2", "--link-bw", "nan", "--alpha", "0.8"),
+        ("--tp", "2", "--link-bw", "100 Gb/s", "--alpha", "nan"),
+    ])
+    def test_rejected_with_one_line(self, capsys, extra):
+        code, out, err = run_cli(capsys, "estimate", *PREFILL_ARGS, "--m", "256", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid value") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestReadmeDeviceFile:
+    def test_readme_device_block_loads(self, capsys, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("```yaml\n# mydevice.yaml\n") + len("```yaml\n")
+        block = readme[start:readme.index("```", start)]
+        path = tmp_path / "mydevice.yaml"
+        path.write_text(block)
+        code, out, err = run_cli(capsys, "estimate", "--model", "gpt2",
+                                 "--device-file", str(path), "--m", "256", "--json")
+        assert err == ""
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["device"] == "lab-card"
+        assert doc["freq"] == 2.2e8

@@ -199,3 +199,28 @@ class TestScaledBuffers:
         shard = scale_memory_constraints(plan, tp)
         assert shard.s_param * tp >= plan.s_param
         assert shard.s_kv * tp >= plan.s_kv
+
+
+class TestPlanInputChecks:
+    @pytest.mark.parametrize("value", [float("nan"), "nan", " NaN "])
+    def test_nan_bandwidth_rejected(self, value):
+        with pytest.raises(InvalidValueError, match="NaN"):
+            parse_bandwidth(value)
+
+    def test_unparsable_magnitude_rejected(self):
+        with pytest.raises(InvalidValueError, match="cannot parse"):
+            parse_bandwidth("1e5e5 Gb/s")
+
+    @pytest.mark.parametrize("efficiency", [float("nan"), float("inf")])
+    def test_efficiency_rejected(self, efficiency):
+        with pytest.raises(InvalidValueError):
+            ParallelismPlan(tp_size=2, link_bandwidth=1e9, efficiency=efficiency)
+
+    @pytest.mark.parametrize("doc", [
+        {"tp_size": 2, "link_bandwidth": "1 Gb/s", "efficiency": "0.5"},
+        {"tp_size": "2", "link_bandwidth": "1 Gb/s", "efficiency": 0.5},
+        {"tp_size": 2.5, "link_bandwidth": "1 Gb/s", "efficiency": 0.5},
+    ])
+    def test_plan_document_types_checked(self, doc):
+        with pytest.raises(InvalidValueError):
+            load_parallelism_plan(doc)
